@@ -18,7 +18,7 @@ fn main() {
     let best = dpack.best_alphas(&state);
     println!(
         "DPack best alphas: B0 -> order index {:?}, B1 -> order index {:?}\n",
-        best[&0], best[&1]
+        best[0], best[1]
     );
 
     let mut table = Table::new(vec!["scheduler", "allocated", "tasks"]);

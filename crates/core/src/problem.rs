@@ -112,6 +112,12 @@ pub struct ProblemState {
     blocks: std::sync::Arc<BTreeMap<BlockId, RdpCurve>>,
     /// Pending tasks, in arrival order.
     tasks: Vec<Task>,
+    /// Dense block positions (indices into `blocks` in key order) of
+    /// every task's requested blocks, flattened in `tasks` and then
+    /// `Task::blocks` order; task `i`'s run is
+    /// `block_pos[block_pos_start[i]..block_pos_start[i + 1]]`.
+    block_pos: Vec<usize>,
+    block_pos_start: Vec<usize>,
 }
 
 impl ProblemState {
@@ -143,6 +149,8 @@ impl ProblemState {
             grid,
             blocks: std::sync::Arc::new(map),
             tasks: Vec::new(),
+            block_pos: Vec::new(),
+            block_pos_start: Vec::new(),
         };
         state.with_tasks(tasks)
     }
@@ -179,11 +187,17 @@ impl ProblemState {
             grid,
             blocks: available,
             tasks: Vec::new(),
+            block_pos: Vec::new(),
+            block_pos_start: Vec::new(),
         };
         state.with_tasks(tasks)
     }
 
     fn with_tasks(mut self, tasks: Vec<Task>) -> Result<Self, ProblemError> {
+        let ids: Vec<BlockId> = self.blocks.keys().copied().collect();
+        let mut block_pos = Vec::with_capacity(tasks.iter().map(|t| t.blocks.len()).sum());
+        let mut block_pos_start = Vec::with_capacity(tasks.len() + 1);
+        block_pos_start.push(0);
         for t in &tasks {
             if t.demand.grid() != &self.grid {
                 return Err(ProblemError(format!(
@@ -201,18 +215,19 @@ impl ProblemState {
                 return Err(ProblemError(format!("task {} requests no blocks", t.id)));
             }
             for b in &t.blocks {
-                if !self.blocks.contains_key(b) {
-                    return Err(ProblemError(format!(
-                        "task {} requests unknown block {b}",
-                        t.id
-                    )));
-                }
+                let pos = ids.binary_search(b).map_err(|_| {
+                    ProblemError(format!("task {} requests unknown block {b}", t.id))
+                })?;
+                block_pos.push(pos);
             }
+            block_pos_start.push(block_pos.len());
             if t.demand.values().iter().any(|d| *d < 0.0) {
                 return Err(ProblemError(format!("task {} has negative demand", t.id)));
             }
         }
         self.tasks = tasks;
+        self.block_pos = block_pos;
+        self.block_pos_start = block_pos_start;
         Ok(self)
     }
 
@@ -234,6 +249,18 @@ impl ProblemState {
     /// A task by id, if pending.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
         self.tasks.iter().find(|t| t.id == id)
+    }
+
+    /// The dense positions of `tasks()[task]`'s requested blocks, in
+    /// `Task::blocks` order: position `j` is the `j`-th block of
+    /// [`ProblemState::blocks`] in key order, so per-block scratch
+    /// state can live in flat arrays instead of maps keyed by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task >= tasks().len()`.
+    pub(crate) fn block_positions(&self, task: usize) -> &[usize] {
+        &self.block_pos[self.block_pos_start[task]..self.block_pos_start[task + 1]]
     }
 }
 
@@ -280,32 +307,33 @@ pub enum PackingRule {
 /// adding its demand, **every** requested block still fits at **some**
 /// order (`CANRUN` of Alg. 1).
 ///
-/// Returns scheduled task ids in allocation order. Shared by every
-/// ordering-based scheduler so that efficiency differences come from the
-/// ordering (and packing rule) alone.
-pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<TaskId> {
-    let mut used: BTreeMap<BlockId, RdpCurve> = BTreeMap::new();
-    let mut scheduled = Vec::new();
+/// Returns the scheduled task indices in allocation order. Shared by
+/// every ordering-based scheduler so that efficiency differences come
+/// from the ordering (and packing rule) alone.
+pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<usize> {
     let n_orders = state.grid().len();
+    let caps: Vec<&[f64]> = state.blocks().values().map(RdpCurve::values).collect();
+    // Consumed budget per block position and order; adding a demand in
+    // place gives the same bits as composing curves (0.0 + d == d).
+    let mut used = vec![0.0f64; caps.len() * n_orders];
+    let mut scheduled = Vec::new();
     for &idx in ordered {
-        let task = &state.tasks()[idx];
-        let fits_all_blocks = task.blocks.iter().all(|b| {
-            let cap = &state.blocks()[b];
-            let zero = RdpCurve::zero(state.grid());
-            let u = used.get(b).unwrap_or(&zero);
-            (0..n_orders)
-                .any(|a| dp_accounting::fits(u.epsilon(a) + task.demand.epsilon(a), cap.epsilon(a)))
+        let demand = state.tasks()[idx].demand.values();
+        let positions = state.block_positions(idx);
+        let fits_all_blocks = positions.iter().all(|&j| {
+            let u = &used[j * n_orders..(j + 1) * n_orders];
+            (0..n_orders).any(|a| dp_accounting::fits(u[a] + demand[a], caps[j][a]))
         });
         if fits_all_blocks {
-            for b in &task.blocks {
-                let entry = used
-                    .entry(*b)
-                    .or_insert_with(|| RdpCurve::zero(state.grid()));
-                *entry = entry
-                    .compose(&task.demand)
-                    .expect("demands share the state grid");
+            for &j in positions {
+                for (u, d) in used[j * n_orders..(j + 1) * n_orders]
+                    .iter_mut()
+                    .zip(demand)
+                {
+                    *u += d;
+                }
             }
-            scheduled.push(task.id);
+            scheduled.push(idx);
         } else if rule == PackingRule::Stop {
             break;
         }
@@ -314,7 +342,7 @@ pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<T
 }
 
 /// [`pack`] with [`PackingRule::Skip`] — the default greedy discipline.
-pub fn greedy_pack(state: &ProblemState, ordered: &[usize]) -> Vec<TaskId> {
+pub fn greedy_pack(state: &ProblemState, ordered: &[usize]) -> Vec<usize> {
     pack(state, ordered, PackingRule::Skip)
 }
 
@@ -386,10 +414,10 @@ mod tests {
             0.0,
         );
         let state = ProblemState::new(g, blocks, vec![t0, t1, t2]).unwrap();
-        let ids = greedy_pack(&state, &[0, 1, 2]);
+        let picked = greedy_pack(&state, &[0, 1, 2]);
         // 0.4+0.4 = 0.8 fits order 0; a third would be 1.2 > 1.0 at order
         // 0 and 2.7 > 1.0 at order 1.
-        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(picked, vec![0, 1]);
     }
 
     #[test]
@@ -403,8 +431,8 @@ mod tests {
         let t0 = Task::new(0, 1.0, vec![0, 1], RdpCurve::constant(&g, 0.2), 0.0);
         let t1 = Task::new(1, 1.0, vec![0, 1], RdpCurve::constant(&g, 0.2), 0.0);
         let state = ProblemState::new(g, blocks, vec![t0, t1]).unwrap();
-        let ids = greedy_pack(&state, &[0, 1]);
-        assert_eq!(ids, vec![0]); // 0.4 > 0.3 on block 1 for the second.
+        let picked = greedy_pack(&state, &[0, 1]);
+        assert_eq!(picked, vec![0]); // 0.4 > 0.3 on block 1 for the second.
     }
 
     #[test]

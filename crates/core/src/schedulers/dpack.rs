@@ -1,12 +1,12 @@
 //! DPack (Alg. 1 of the paper).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::problem::{greedy_pack, Allocation, BlockId, ProblemState};
+use crate::problem::{greedy_pack, Allocation, ProblemState};
 use crate::schedulers::{finish_allocation, sort_by_efficiency, Scheduler};
+use dp_accounting::RdpCurve;
 use knapsack::{
-    fptas::fptas_value, greedy::greedy_with_best_item, greedy::unit_profit_exact, Item,
+    fptas::fptas_value, greedy::greedy_with_best_item, greedy::unit_profit_prefix_len, Item,
 };
 
 /// How DPack solves the per-(block, order) single-block knapsacks that
@@ -79,14 +79,14 @@ impl DPack {
         }
     }
 
+    /// The weighted single-block knapsack value: every oracle but the
+    /// `Auto` equal-weight case, which [`DPack::best_alpha_of`] answers
+    /// by selection instead.
     fn solve_single_block(&self, items: &[Item], capacity: f64) -> f64 {
         match self.oracle {
             KnapsackOracle::Greedy => greedy_with_best_item(items, capacity).profit,
             KnapsackOracle::Fptas => fptas_value(items, capacity, (self.eta * 2.0 / 3.0).min(0.99)),
             KnapsackOracle::Auto => {
-                if let Some(sol) = unit_profit_exact(items, capacity) {
-                    return sol.profit;
-                }
                 // Integer weight grids (the paper's weighted workloads)
                 // admit an exact pseudo-polynomial DP.
                 if let Some(sol) = knapsack::dp::integer_profit_exact(items, capacity, 2_000_000) {
@@ -101,43 +101,55 @@ impl DPack {
         }
     }
 
-    /// `COMPUTE_BEST_ALPHA` of Alg. 1 for a single block: the grid index
-    /// of the order whose single-block knapsack packs the most weight,
-    /// or `None` when no order is usable or no task requests the block.
+    /// `COMPUTE_BEST_ALPHA` of Alg. 1 for one block: the grid index of
+    /// the order whose single-block knapsack over `requesters` (indices
+    /// into `state.tasks()`, ascending) packs the most weight within
+    /// `cap`, or `None` when no order is usable or no task requests the
+    /// block. Ties go to the lowest order.
     ///
-    /// Exposed separately so callers (e.g. the orchestrator substrate)
-    /// can parallelize the per-block computation — the dominant cost of
-    /// a DPack cycle.
-    pub fn best_alpha_for_block(&self, state: &ProblemState, block: BlockId) -> Option<usize> {
-        let cap = state.blocks().get(&block)?;
-        let requesters: Vec<usize> = state
-            .tasks()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.blocks.contains(&block))
-            .map(|(i, _)| i)
-            .collect();
-        if requesters.is_empty() {
-            return None;
-        }
-        let mut best_alpha: Option<usize> = None;
+    /// Under [`KnapsackOracle::Auto`], when every requester has the same
+    /// weight (checked once per block), the knapsack is the longest
+    /// ascending-demand prefix that fits ([`unit_profit_prefix_len`]) —
+    /// exact, and found by selection rather than a full sort. Other
+    /// instances build the items in `requesters` order and run the
+    /// oracle. `scratch` holds the reused buffers.
+    ///
+    /// The per-block calls are independent, which is what callers such
+    /// as the orchestrator's `ParallelDPack` fan out over threads.
+    pub fn best_alpha_of(
+        &self,
+        state: &ProblemState,
+        cap: &RdpCurve,
+        requesters: &[usize],
+        scratch: &mut AlphaScratch,
+    ) -> Option<usize> {
+        let tasks = state.tasks();
+        let first = tasks[*requesters.first()?].weight;
+        let equal_weight = self.oracle == KnapsackOracle::Auto
+            && requesters.iter().all(|&i| tasks[i].weight == first);
+        let mut best_alpha = None;
         let mut best_value = f64::NEG_INFINITY;
-        for a in 0..state.grid().len() {
-            let c = cap.epsilon(a);
+        for (a, &c) in cap.values().iter().enumerate() {
             if c <= 0.0 {
                 continue;
             }
-            let items: Vec<Item> = requesters
-                .iter()
-                .map(|&i| {
-                    let t = &state.tasks()[i];
-                    Item {
-                        weight: t.demand.epsilon(a),
-                        profit: t.weight,
-                    }
-                })
-                .collect();
-            let value = self.solve_single_block(&items, c);
+            let value = if equal_weight {
+                scratch.demands.clear();
+                scratch
+                    .demands
+                    .extend(requesters.iter().map(|&i| tasks[i].demand.epsilon(a)));
+                let k = unit_profit_prefix_len(&mut scratch.demands, c);
+                // k sequential additions, as `Solution::from_indices`
+                // sums a selection.
+                std::iter::repeat_n(first, k).sum::<f64>()
+            } else {
+                scratch.items.clear();
+                scratch.items.extend(requesters.iter().map(|&i| Item {
+                    weight: tasks[i].demand.epsilon(a),
+                    profit: tasks[i].weight,
+                }));
+                self.solve_single_block(&scratch.items, c)
+            };
             if value > best_value {
                 best_value = value;
                 best_alpha = Some(a);
@@ -146,71 +158,34 @@ impl DPack {
         best_alpha
     }
 
-    /// `COMPUTE_BEST_ALPHA` of Alg. 1 for every block: returns, per block,
-    /// the grid index of the order whose single-block knapsack packs the
-    /// most weight, or `None` when no order is usable or no task requests
-    /// the block.
-    pub fn best_alphas(&self, state: &ProblemState) -> BTreeMap<BlockId, Option<usize>> {
-        // Group requesting task indices per block.
-        let mut requesters: BTreeMap<BlockId, Vec<usize>> = BTreeMap::new();
-        for (i, t) in state.tasks().iter().enumerate() {
-            for b in &t.blocks {
-                requesters.entry(*b).or_default().push(i);
-            }
-        }
-        let n_orders = state.grid().len();
-        let mut best = BTreeMap::new();
-        for (block_id, cap) in state.blocks() {
-            let Some(tasks) = requesters.get(block_id) else {
-                best.insert(*block_id, None);
-                continue;
-            };
-            let mut best_alpha: Option<usize> = None;
-            let mut best_value = f64::NEG_INFINITY;
-            for a in 0..n_orders {
-                let c = cap.epsilon(a);
-                if c <= 0.0 {
-                    continue;
-                }
-                let items: Vec<Item> = tasks
-                    .iter()
-                    .map(|&i| {
-                        let t = &state.tasks()[i];
-                        Item {
-                            weight: t.demand.epsilon(a),
-                            profit: t.weight,
-                        }
-                    })
-                    .collect();
-                let value = self.solve_single_block(&items, c);
-                if value > best_value {
-                    best_value = value;
-                    best_alpha = Some(a);
-                }
-            }
-            best.insert(*block_id, best_alpha);
-        }
-        best
+    /// `COMPUTE_BEST_ALPHA` of Alg. 1 for every block: per block
+    /// position (the order of `state.blocks()`), the grid index of the
+    /// order whose single-block knapsack packs the most weight, or
+    /// `None` when no order is usable or no task requests the block.
+    pub fn best_alphas(&self, state: &ProblemState) -> Vec<Option<usize>> {
+        let requesters = BlockRequesters::new(state);
+        let mut scratch = AlphaScratch::default();
+        state
+            .blocks()
+            .values()
+            .enumerate()
+            .map(|(j, cap)| self.best_alpha_of(state, cap, requesters.of(j), &mut scratch))
+            .collect()
     }
 
     /// `COMPUTE_EFFICIENCY` of Alg. 1 (Eq. 6) for every task, given the
-    /// per-block best alphas.
-    pub fn efficiencies(
-        &self,
-        state: &ProblemState,
-        best_alphas: &BTreeMap<BlockId, Option<usize>>,
-    ) -> Vec<f64> {
+    /// per-block-position best alphas of [`DPack::best_alphas`].
+    pub fn efficiencies(&self, state: &ProblemState, best_alphas: &[Option<usize>]) -> Vec<f64> {
+        let caps: Vec<&RdpCurve> = state.blocks().values().collect();
         state
             .tasks()
             .iter()
-            .map(|t| {
+            .enumerate()
+            .map(|(i, t)| {
                 let mut denom = 0.0;
-                for b in &t.blocks {
-                    match best_alphas.get(b).copied().flatten() {
-                        Some(a) => {
-                            let c = state.blocks()[b].epsilon(a);
-                            denom += t.demand.epsilon(a) / c;
-                        }
+                for &j in state.block_positions(i) {
+                    match best_alphas[j] {
+                        Some(a) => denom += t.demand.epsilon(a) / caps[j].epsilon(a),
                         // A requested block with no usable order makes
                         // the task unschedulable.
                         None => return 0.0,
@@ -224,6 +199,56 @@ impl DPack {
             })
             .collect()
     }
+}
+
+/// The pending tasks of a [`ProblemState`] grouped by requested block,
+/// built in one pass over the task-block incidences: block position `j`
+/// (the `j`-th block of `state.blocks()` in key order) lists the
+/// indices of the tasks requesting it, ascending.
+#[derive(Debug, Clone)]
+pub struct BlockRequesters {
+    /// `tasks[start[j]..start[j + 1]]` are block `j`'s requesters.
+    start: Vec<usize>,
+    tasks: Vec<usize>,
+}
+
+impl BlockRequesters {
+    /// Groups `state`'s tasks by block position (a counting sort).
+    pub fn new(state: &ProblemState) -> Self {
+        let (n_blocks, n_tasks) = (state.blocks().len(), state.tasks().len());
+        let mut start = vec![0usize; n_blocks + 1];
+        for i in 0..n_tasks {
+            for &j in state.block_positions(i) {
+                start[j + 1] += 1;
+            }
+        }
+        for j in 0..n_blocks {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut tasks = vec![0usize; start[n_blocks]];
+        for i in 0..n_tasks {
+            for &j in state.block_positions(i) {
+                tasks[next[j]] = i;
+                next[j] += 1;
+            }
+        }
+        Self { start, tasks }
+    }
+
+    /// The indices into `state.tasks()` of the tasks requesting the
+    /// block at position `j`, ascending.
+    pub fn of(&self, j: usize) -> &[usize] {
+        &self.tasks[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// Buffers [`DPack::best_alpha_of`] reuses across blocks and orders, so
+/// a pass allocates them once per thread.
+#[derive(Debug, Clone, Default)]
+pub struct AlphaScratch {
+    demands: Vec<f64>,
+    items: Vec<Item>,
 }
 
 impl Scheduler for DPack {
@@ -274,8 +299,7 @@ mod tests {
         let best = dpack.best_alphas(&state);
         // Block 0's best order is index 0 (α₁), block 1's is index 1
         // (α₂) — the construction of Fig. 3.
-        assert_eq!(best[&0], Some(0));
-        assert_eq!(best[&1], Some(1));
+        assert_eq!(best, vec![Some(0), Some(1)]);
     }
 
     #[test]
@@ -380,16 +404,5 @@ mod tests {
     #[should_panic(expected = "eta must be in")]
     fn with_eta_rejects_out_of_range() {
         DPack::with_eta(2.0);
-    }
-
-    #[test]
-    fn per_block_best_alpha_agrees_with_batch() {
-        let state = crate::scenarios::fig3_state();
-        let d = DPack::default();
-        let batch = d.best_alphas(&state);
-        for (block, expected) in batch {
-            assert_eq!(d.best_alpha_for_block(&state, block), expected);
-        }
-        assert_eq!(d.best_alpha_for_block(&state, 99), None);
     }
 }

@@ -6,7 +6,7 @@ mod fcfs;
 mod greedy_area;
 mod optimal;
 
-pub use dpack::{DPack, KnapsackOracle};
+pub use dpack::{AlphaScratch, BlockRequesters, DPack, KnapsackOracle};
 pub use dpf::{dominant_share, Dpf, DpfStrict};
 pub use fcfs::Fcfs;
 pub use greedy_area::GreedyArea;
@@ -50,20 +50,19 @@ pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Builds an [`Allocation`] from scheduled ids, filling in the weights
-/// and timing.
+/// Builds an [`Allocation`] from scheduled task indices (into
+/// `state.tasks()`, in allocation order, as [`crate::problem::pack`]
+/// returns them), filling in the ids, weights and timing.
 pub fn finish_allocation(
     state: &ProblemState,
-    scheduled: Vec<crate::problem::TaskId>,
+    scheduled: Vec<usize>,
     started: std::time::Instant,
     proven_optimal: Option<bool>,
 ) -> Allocation {
-    let total_weight = scheduled
-        .iter()
-        .map(|id| state.task(*id).map_or(0.0, |t| t.weight))
-        .sum();
+    let tasks = state.tasks();
+    let total_weight = scheduled.iter().map(|&i| tasks[i].weight).sum();
     Allocation {
-        scheduled,
+        scheduled: scheduled.iter().map(|&i| tasks[i].id).collect(),
         total_weight,
         runtime: started.elapsed(),
         proven_optimal,

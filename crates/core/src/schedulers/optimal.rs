@@ -79,13 +79,12 @@ impl Scheduler for Optimal {
             .filter_map(|id| state.tasks().iter().position(|t| t.id == *id))
             .collect();
         let outcome = solve_with_warm_start(&inst, self.limits, Some(&warm));
-        let scheduled = outcome
-            .solution
-            .selected
-            .iter()
-            .map(|&i| state.tasks()[i].id)
-            .collect();
-        finish_allocation(state, scheduled, started, Some(outcome.proven_optimal))
+        finish_allocation(
+            state,
+            outcome.solution.selected,
+            started,
+            Some(outcome.proven_optimal),
+        )
     }
 }
 

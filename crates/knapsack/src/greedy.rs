@@ -92,6 +92,64 @@ pub fn unit_profit_exact(items: &[Item], capacity: f64) -> Option<Solution> {
     Some(Solution::from_indices(items, selected))
 }
 
+/// Items selected and sorted in the first round of
+/// [`unit_profit_prefix_len`]; each further round doubles it.
+const FIRST_PREFIX: usize = 32;
+
+/// The count [`unit_profit_exact`] selects, from the weights alone: the
+/// length of the longest ascending-weight prefix that fits in
+/// `capacity`, accumulated in ascending order under the same
+/// [`crate::fits`] tolerance.
+///
+/// Instead of sorting every weight it selects the smallest few with
+/// `select_nth_unstable`, sorts only those, and doubles the selection
+/// until the scan stops, so a short feasible prefix costs about one
+/// linear pass. Reorders `weights`. The count equals
+/// `unit_profit_exact`'s, bit for bit in the accumulated usage: the
+/// ascending sequence of values is the same however equal weights are
+/// ordered. Weights must be non-negative and not NaN, as [`Item::new`]
+/// requires.
+///
+/// # Examples
+///
+/// ```
+/// use knapsack::greedy::unit_profit_prefix_len;
+///
+/// let mut weights = vec![3.0, 1.0, 2.0, 5.0];
+/// assert_eq!(unit_profit_prefix_len(&mut weights, 6.0), 3); // 1 + 2 + 3.
+/// ```
+pub fn unit_profit_prefix_len(weights: &mut [f64], capacity: f64) -> usize {
+    debug_assert!(
+        weights.iter().all(|w| *w >= 0.0),
+        "weights are items' weights"
+    );
+    let n = weights.len();
+    let mut used = 0.0;
+    // `weights[..done]` holds the `done` smallest weights, ascending,
+    // and all of them fit.
+    let mut done = 0;
+    let mut want = FIRST_PREFIX.min(n);
+    loop {
+        let rest = &mut weights[done..];
+        let take = want - done;
+        if take < rest.len() {
+            rest.select_nth_unstable_by(take, f64::total_cmp);
+        }
+        rest[..take].sort_unstable_by(f64::total_cmp);
+        for &w in &rest[..take] {
+            if !crate::fits(used + w, capacity) {
+                return done;
+            }
+            used += w;
+            done += 1;
+        }
+        if done == n {
+            return n;
+        }
+        want = (want * 2).min(n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +208,37 @@ mod tests {
                 .into_iter()
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn unit_profit_prefix_len_matches_unit_profit_exact() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for case in 0..200 {
+            // Up to a few hundred items so several doubling rounds run;
+            // coarse weights make ties and zeros common.
+            let n = 1 + case * 3 % 300;
+            let weights: Vec<f64> = (0..n)
+                .map(|_| (next() * 8.0).floor() * 0.125 * next().round())
+                .collect();
+            let capacity = next() * n as f64 * 0.2;
+            let it: Vec<Item> = weights
+                .iter()
+                .map(|&w| Item::new(w, 2.5).unwrap())
+                .collect();
+            let exact = unit_profit_exact(&it, capacity).unwrap();
+            let mut scratch = weights.clone();
+            assert_eq!(
+                unit_profit_prefix_len(&mut scratch, capacity),
+                exact.selected.len(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -5,15 +5,18 @@
 //! DPack (and DPF) algorithms are parallelized"). These wrappers do the
 //! same with [`std::thread::scope`] worker threads, and are
 //! decision-identical to their single-threaded counterparts: the
-//! parallel phase only computes per-block / per-task metrics; ordering
-//! and packing stay sequential and deterministic.
+//! parallel phase only computes per-block / per-task metrics (DPack's
+//! requesters are grouped once, sequentially, and each worker runs
+//! [`DPack::best_alpha_of`] over its share of the blocks); ordering and
+//! packing stay sequential and deterministic.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use dpack_core::problem::{greedy_pack, pack, Allocation, BlockId, PackingRule, ProblemState};
+use dp_accounting::RdpCurve;
+use dpack_core::problem::{greedy_pack, pack, Allocation, PackingRule, ProblemState};
 use dpack_core::schedulers::{
-    dominant_share, finish_allocation, sort_by_efficiency, DPack, Scheduler,
+    dominant_share, finish_allocation, sort_by_efficiency, AlphaScratch, BlockRequesters, DPack,
+    Scheduler,
 };
 
 /// Validates and stores a worker-thread count.
@@ -48,31 +51,37 @@ impl ParallelDPack {
         &self.inner
     }
 
-    /// Computes best alphas for all blocks in parallel.
-    pub fn parallel_best_alphas(&self, state: &ProblemState) -> BTreeMap<BlockId, Option<usize>> {
-        let block_ids: Vec<BlockId> = state.blocks().keys().copied().collect();
-        if block_ids.is_empty() {
-            return BTreeMap::new();
-        }
-        let chunk = block_ids.len().div_ceil(self.threads);
-        let mut results: Vec<Vec<(BlockId, Option<usize>)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = block_ids
-                .chunks(chunk)
-                .map(|ids| {
-                    let inner = self.inner;
+    /// [`DPack::best_alphas`] with the per-block solves split over the
+    /// workers: per block position, the best order's grid index.
+    /// Worker `t` takes positions `t, t + W, …`, which spreads the
+    /// most-requested (most recent) blocks evenly.
+    pub fn parallel_best_alphas(&self, state: &ProblemState) -> Vec<Option<usize>> {
+        let requesters = BlockRequesters::new(state);
+        let caps: Vec<&RdpCurve> = state.blocks().values().collect();
+        let workers = self.threads.min(caps.len());
+        let (inner, requesters, caps) = (self.inner, &requesters, &caps);
+        let strides: Vec<Vec<Option<usize>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|t| {
                     s.spawn(move || {
-                        ids.iter()
-                            .map(|&b| (b, inner.best_alpha_for_block(state, b)))
-                            .collect::<Vec<_>>()
+                        let mut scratch = AlphaScratch::default();
+                        (t..caps.len())
+                            .step_by(workers)
+                            .map(|j| {
+                                inner.best_alpha_of(state, caps[j], requesters.of(j), &mut scratch)
+                            })
+                            .collect()
                     })
                 })
                 .collect();
-            for h in handles {
-                results.push(h.join().expect("best-alpha worker panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("best-alpha worker panicked"))
+                .collect()
         });
-        results.into_iter().flatten().collect()
+        (0..caps.len())
+            .map(|j| strides[j % workers][j / workers])
+            .collect()
     }
 }
 

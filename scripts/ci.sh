@@ -90,6 +90,16 @@ for b in ablation filters knapsack_solvers rdp_accounting sched_kernels; do
   cargo bench -q -p dpack-bench --bench "${b}" -- --smoke
 done
 
+# The repository benchmark (perfbench/, its own package) must keep
+# building offline and its exact work counts must reproduce: --selftest
+# runs --counts in two processes and fails unless they agree bit for
+# bit.
+echo "==> perfbench --selftest (alibaba_replay, grant_stream, replicated_stream)"
+for w in alibaba_replay grant_stream replicated_stream; do
+  CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- --workload "${w}" --selftest
+done
+
 # Perf trajectory: record durable vs non-durable service throughput
 # (group commit vs per-record sync vs in-memory) for this PR. The
 # binary itself asserts the group-commit sync bound

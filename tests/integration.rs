@@ -326,3 +326,57 @@ fn weighted_scheduling_threads_through_the_stack() {
     let dpack = simulate(&wl, DPack::default(), &cfg);
     assert!(dpack.total_weight() > dpack.allocated() as f64);
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of each id, in order.
+fn fnv1a_ids(ids: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for id in ids {
+        for byte in id.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Replays the seed-42 Alibaba-DP month through the durable service at
+/// one shard/worker shape; returns the grant count and the FNV-1a
+/// digest of the granted ids in grant order.
+fn alibaba_month_grants(shards: usize, workers: usize) -> (usize, u64) {
+    use dpack::service::ServiceConfig;
+    let workload = alibaba::generate(&AlibabaDpConfig::default(), 42);
+    let sim = SimulationConfig {
+        scheduling_period: 1.0,
+        unlock_steps: 50,
+        task_timeout: Some(5.0),
+        drain_steps: 55,
+    };
+    let config = ServiceConfig {
+        shards,
+        workers,
+        ..ServiceConfig::default()
+    };
+    let result = dpack::sim::simulate_service_durable(&workload, &config, &sim);
+    let ids = result.stats.allocated.iter().map(|a| a.id);
+    (result.allocated(), fnv1a_ids(ids))
+}
+
+/// Pins the DPack decisions on the paper's Alibaba-DP month: kernel
+/// rewrites must grant exactly the same tasks in the same order, at the
+/// default service shape (S = 4, W = 2, cross-shard pass included) and
+/// at the single-shard, single-worker shape.
+#[test]
+fn alibaba_month_decisions_are_pinned_at_the_default_shape() {
+    let defaults = dpack::service::ServiceConfig::default();
+    assert_eq!((defaults.shards, defaults.workers), (4, 2));
+    assert_eq!(
+        alibaba_month_grants(defaults.shards, defaults.workers),
+        (3292, 0x06e1_edb1_058a_2128)
+    );
+}
+
+#[test]
+fn alibaba_month_decisions_are_pinned_at_one_shard() {
+    // One shard has no cross-shard pass, so it packs more of the month.
+    assert_eq!(alibaba_month_grants(1, 1), (3963, 0x4d32_da6e_4114_5180));
+}

@@ -3,12 +3,19 @@
 //! tier-1).
 
 use dpack::accounting::{block_capacity, fits, AlphaGrid, RdpCurve, RenyiFilter};
-use dpack::core::problem::{Block, ProblemState, Task};
-use dpack::core::schedulers::{DPack, Dpf, Fcfs, GreedyArea, Optimal, Scheduler};
+use dpack::core::problem::{pack, Block, PackingRule, ProblemState, Task};
+use dpack::core::schedulers::{
+    sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, KnapsackOracle, Optimal, Scheduler,
+};
+use dpack::orchestration::ParallelDPack;
 use dpack::solvers::privacy::{alpha_enumeration, solve, SolveLimits};
 use dpack::solvers::{exact, fptas, greedy, Item};
-use dpack_check::{check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, Failed, Strategy};
+use dpack_check::{
+    bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, Failed, Strategy,
+};
 use dpack_wal::{SimStorage, Wal, WalOptions};
+
+use std::collections::BTreeMap;
 
 const CASES: u32 = 64;
 
@@ -239,6 +246,235 @@ fn schedulers_feasible_and_dominated_by_optimal() {
                     opt.total_weight
                 );
             }
+            Ok(())
+        },
+    );
+}
+
+/// The single-block oracle as DPack ran it per (block, order) before
+/// the selection kernel: items in requester order, `unit_profit_exact`
+/// first under `Auto`.
+fn reference_oracle(d: &DPack, items: &[Item], capacity: f64) -> f64 {
+    let eta = (d.eta * 2.0 / 3.0).min(0.99);
+    match d.oracle {
+        KnapsackOracle::Greedy => greedy::greedy_with_best_item(items, capacity).profit,
+        KnapsackOracle::Fptas => fptas::fptas_value(items, capacity, eta),
+        KnapsackOracle::Auto => {
+            if let Some(sol) = greedy::unit_profit_exact(items, capacity) {
+                return sol.profit;
+            }
+            if let Some(sol) = dpack::solvers::dp::integer_profit_exact(items, capacity, 2_000_000)
+            {
+                return sol.profit;
+            }
+            if items.len() <= 300 {
+                fptas::fptas_value(items, capacity, eta)
+            } else {
+                greedy::greedy_with_best_item(items, capacity).profit
+            }
+        }
+    }
+}
+
+/// Best alpha per block id by rescanning every task for every block
+/// and building a fresh item list per order.
+fn reference_best_alphas(d: &DPack, state: &ProblemState) -> BTreeMap<u64, Option<usize>> {
+    state
+        .blocks()
+        .iter()
+        .map(|(id, cap)| {
+            let requesters: Vec<&Task> = state
+                .tasks()
+                .iter()
+                .filter(|t| t.blocks.contains(id))
+                .collect();
+            let mut best = None;
+            let mut best_value = f64::NEG_INFINITY;
+            for a in 0..state.grid().len() {
+                let c = cap.epsilon(a);
+                if requesters.is_empty() || c <= 0.0 {
+                    continue;
+                }
+                let items: Vec<Item> = requesters
+                    .iter()
+                    .map(|t| Item {
+                        weight: t.demand.epsilon(a),
+                        profit: t.weight,
+                    })
+                    .collect();
+                let value = reference_oracle(d, &items, c);
+                if value > best_value {
+                    best_value = value;
+                    best = Some(a);
+                }
+            }
+            (*id, best)
+        })
+        .collect()
+}
+
+/// `pack` over a map of composed usage curves; returns ids.
+fn reference_pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<u64> {
+    let g = state.grid();
+    let mut used: BTreeMap<u64, RdpCurve> = BTreeMap::new();
+    let mut scheduled = Vec::new();
+    for &idx in ordered {
+        let task = &state.tasks()[idx];
+        let fits_all = task.blocks.iter().all(|b| {
+            let zero = RdpCurve::zero(g);
+            let u = used.get(b).unwrap_or(&zero);
+            let cap = &state.blocks()[b];
+            (0..g.len()).any(|a| fits(u.epsilon(a) + task.demand.epsilon(a), cap.epsilon(a)))
+        });
+        if fits_all {
+            for b in &task.blocks {
+                let e = used.entry(*b).or_insert_with(|| RdpCurve::zero(g));
+                *e = e.compose(&task.demand).unwrap();
+            }
+            scheduled.push(task.id);
+        } else if rule == PackingRule::Stop {
+            break;
+        }
+    }
+    scheduled
+}
+
+/// The DPack kernel (grouped requesters, best alpha by selection,
+/// dense-index packing) makes exactly the decisions of the reference
+/// it replaced: the same best alpha per block for every oracle,
+/// sequential and fanned out, the same packing under both rules, and
+/// the same schedule with a bit-identical total weight.
+#[test]
+fn dpack_kernel_matches_the_reference() {
+    check_cases(
+        "dpack_kernel_matches_the_reference",
+        CASES,
+        (
+            // Three orders per block; some orders non-positive.
+            vecs(floats(-0.5..2.0), 3..16),
+            // Per task: block mask, demand levels, jitter, weight draw.
+            vecs(
+                (
+                    ints(1u8..32),
+                    vecs(ints(0u8..6), 3..4),
+                    floats(0.0..0.25),
+                    floats(0.1..3.0),
+                ),
+                1..40,
+            ),
+            // 0: all 1, 1: all 2.5, 2: integer grid, 3: fractional.
+            ints(0u8..4),
+            ints(0u8..3),
+            // Coarse demands (ties, zeros) or jittered ones.
+            bools(),
+        ),
+        |(caps, task_draws, weight_mode, oracle, jitter)| {
+            let g = small_grid();
+            let n_blocks = caps.len() / 3;
+            // Sparse ids, so block positions differ from block ids.
+            let block_id = |j: usize| 3 * j as u64 + 1;
+            let blocks: Vec<Block> = (0..n_blocks)
+                .map(|j| {
+                    let cap = RdpCurve::new(&g, caps[3 * j..3 * j + 3].to_vec()).unwrap();
+                    Block::new(block_id(j), cap, 0.0)
+                })
+                .collect();
+            let tasks: Vec<Task> = task_draws
+                .iter()
+                .enumerate()
+                .map(|(i, (mask, levels, jit, w))| {
+                    let mut which: Vec<u64> = (0..n_blocks)
+                        .filter(|j| mask >> (j % 5) & 1 == 1)
+                        .map(block_id)
+                        .collect();
+                    if which.is_empty() {
+                        which.push(block_id(i % n_blocks));
+                    }
+                    let demand: Vec<f64> = levels
+                        .iter()
+                        .enumerate()
+                        .map(|(a, l)| {
+                            let d = f64::from(*l) * 0.25;
+                            if *jitter && d > 0.0 {
+                                d + jit * (a + 1) as f64
+                            } else {
+                                d
+                            }
+                        })
+                        .collect();
+                    let weight = match weight_mode {
+                        0 => 1.0,
+                        1 => 2.5,
+                        2 => [1.0, 5.0, 10.0, 50.0][usize::from(*mask) % 4],
+                        _ => *w,
+                    };
+                    Task::new(
+                        i as u64,
+                        weight,
+                        which,
+                        RdpCurve::new(&g, demand).unwrap(),
+                        i as f64,
+                    )
+                })
+                .collect();
+            let state = ProblemState::new(g.clone(), blocks, tasks).unwrap();
+            let d = DPack {
+                eta: 0.5,
+                oracle: [
+                    KnapsackOracle::Auto,
+                    KnapsackOracle::Fptas,
+                    KnapsackOracle::Greedy,
+                ][usize::from(*oracle)],
+            };
+
+            let reference = reference_best_alphas(&d, &state);
+            let by_position: Vec<Option<usize>> = reference.values().copied().collect();
+            prop_assert_eq!(d.best_alphas(&state), by_position.clone());
+            prop_assert_eq!(
+                ParallelDPack::new(d, 2).parallel_best_alphas(&state),
+                by_position
+            );
+
+            // Any order packs the same: here, tasks by block mask.
+            let mut order: Vec<usize> = (0..state.tasks().len()).collect();
+            order.sort_by_key(|&i| (task_draws[i].0, i));
+            for rule in [PackingRule::Skip, PackingRule::Stop] {
+                let ids: Vec<u64> = pack(&state, &order, rule)
+                    .iter()
+                    .map(|&i| state.tasks()[i].id)
+                    .collect();
+                prop_assert_eq!(ids, reference_pack(&state, &order, rule), "{:?}", rule);
+            }
+
+            // The whole pass: Eq. 6 efficiencies off the reference best
+            // alphas, then the shared ordering and the reference pack.
+            let eff: Vec<f64> = state
+                .tasks()
+                .iter()
+                .map(|t| {
+                    let mut denom = 0.0;
+                    for b in &t.blocks {
+                        match reference[b] {
+                            Some(a) => denom += t.demand.epsilon(a) / state.blocks()[b].epsilon(a),
+                            None => return 0.0,
+                        }
+                    }
+                    if denom == 0.0 {
+                        f64::INFINITY
+                    } else {
+                        t.weight / denom
+                    }
+                })
+                .collect();
+            let expected =
+                reference_pack(&state, &sort_by_efficiency(&state, &eff), PackingRule::Skip);
+            let expected_weight: f64 = expected
+                .iter()
+                .map(|id| state.task(*id).unwrap().weight)
+                .sum();
+            let alloc = d.schedule(&state);
+            prop_assert_eq!(&alloc.scheduled, &expected);
+            prop_assert_eq!(alloc.total_weight.to_bits(), expected_weight.to_bits());
             Ok(())
         },
     );
